@@ -463,13 +463,25 @@ func BenchmarkWorkflowConcurrency(b *testing.B) {
 
 // BenchmarkEndToEndAnalyze measures the full curate→analyze path over
 // fetched period files, the stage the streaming refactor targets. The
-// stream-bundle variant is what the workflow runs: one decoder pass per
-// file feeds every figure collector through an analyze.Bundle, merged in
-// period order. The slices-multipass variant is the pre-refactor shape:
+// stream-bundle variant is what the workflow runs at one ingest worker:
+// one single-chunk decoder pass per file feeds every figure collector
+// through an analyze.Bundle, merged in period order. The slices-multipass variant is the pre-refactor shape:
 // decode every file into one record slice, sort it globally, then rescan
 // it once per figure. Both compute identical figure data (pinned by
 // TestWorkflowFiguresMatchDirectBuilders); the contrast is allocations
 // and peak footprint, tracked in EXPERIMENTS.md "Streaming data plane".
+// observeInto is a one-chunk StreamFileParallel consumer feeding bd; at
+// Workers=1 the only chunk runs on one goroutine, so no shard merge is
+// needed.
+func observeInto(bd *analyze.Bundle) curate.ShardFunc {
+	return func(int) func(*slurm.Record) bool {
+		return func(rec *slurm.Record) bool {
+			bd.Observe(rec)
+			return true
+		}
+	}
+}
+
 func BenchmarkEndToEndAnalyze(b *testing.B) {
 	f := spread(b)
 	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -524,11 +536,10 @@ func BenchmarkEndToEndAnalyze(b *testing.B) {
 			for _, path := range paths {
 				part := analyze.NewBundle(bucket)
 				var rep curate.Report
-				for rec, err := range curate.StreamFile(path, "", curate.DefaultOptions(), &rep) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					part.Observe(rec)
+				opts := curate.DefaultOptions()
+				opts.Workers = 1
+				if _, err := curate.StreamFileParallel(path, "", opts, &rep, observeInto(part)); err != nil {
+					b.Fatal(err)
 				}
 				merged.Merge(part)
 			}
@@ -721,11 +732,9 @@ func BenchmarkObsOverhead(b *testing.B) {
 				var rep curate.Report
 				opts := curate.DefaultOptions()
 				opts.Metrics = reg
-				for rec, err := range curate.StreamFile(fl.Path, "", opts, &rep) {
-					if err != nil {
-						b.Fatal(err)
-					}
-					part.Observe(rec)
+				opts.Workers = 1
+				if _, err := curate.StreamFileParallel(fl.Path, "", opts, &rep, observeInto(part)); err != nil {
+					b.Fatal(err)
 				}
 				merged.Merge(part)
 			}

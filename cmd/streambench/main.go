@@ -1,11 +1,11 @@
 // Command streambench measures the streaming data plane's footprint in
 // isolation: peak RSS and wall time of one full curate→analyze pass over
-// a trace file, contrasted against the pre-refactor materialise-and-
-// rescan path. Generation and measurement run as separate invocations so
+// a trace file, contrasted against the materialise-and-rescan path.
+// Generation and measurement run as separate invocations so
 // /proc/self/status VmHWM reflects only the analysis pass:
 //
 //	streambench -gen -rows 1000000 -path trace-1m.txt
-//	streambench -run -mode stream -path trace-1m.txt
+//	streambench -run -mode parallel -workers 1 -path trace-1m.txt
 //	streambench -run -mode slices -path trace-1m.txt
 //	streambench -run -mode parallel -workers 4 -path trace-1m.txt -json BENCH_ingest.json
 //	streambench -convert -path trace-1m.txt
@@ -15,11 +15,13 @@
 // The -gen phase simulates a seed workload once and tiles its encoded
 // rows to the requested count, so multi-million-row inputs cost seconds
 // rather than a multi-million-job scheduler replay. Mode parallel runs
-// the chunked zero-alloc byte ingest plane at -workers chunk decoders;
-// -json appends the run's numbers (rows, workers, ns/op, allocs/op,
-// peak RSS) to a machine-readable array so the perf trajectory is
-// diffable across PRs. EXPERIMENTS.md "Parallel chunked ingest" records
-// the sweep.
+// the chunked zero-alloc byte ingest plane at -workers chunk decoders
+// (one worker decodes the file as a single chunk); mode slices collects
+// every record through the same decoder at one worker and analyses the
+// slice. -json appends the run's numbers (rows, workers, ns/op,
+// allocs/op, peak RSS) to a machine-readable array so the perf
+// trajectory is diffable across PRs. EXPERIMENTS.md "Parallel chunked
+// ingest" records the sweep.
 //
 // -convert rewrites a text trace as a binary columnar shard file
 // (<path>.colstore). The textload/colstore run pair then measures the
@@ -68,7 +70,7 @@ func main() {
 		sweep     = flag.Bool("sweep", false, "run the rows × workers × mode matrix and append a sweep/v1 block to -json")
 		rows      = flag.Int("rows", 1_000_000, "data rows to generate with -gen or -sweep")
 		genMonths = flag.Int("gen-months", 1, "calendar months the generated workload spans (one colstore shard each)")
-		mode      = flag.String("mode", "stream", "analysis path with -run: stream, slices, parallel, textload, or colstore")
+		mode      = flag.String("mode", "parallel", "analysis path with -run: parallel, slices, textload, or colstore")
 		path      = flag.String("path", "trace.txt", "trace file (with -sweep, the base name derived files hang off)")
 		out       = flag.String("out", "", "output path with -convert (default <path>.colstore)")
 		seed      = flag.Int64("seed", 41, "workload RNG seed for -gen")
@@ -344,22 +346,6 @@ func measureCell(path, mode string, workers int) (benchResult, error) {
 		// pool parallelises); the projected query stands in for
 		// finalize; reload keeps its own field.
 		res.PhaseMS = phaseSplit{DecodeMS: r.ScanMS, FinalizeMS: r.ProjMS}
-	case "stream":
-		b := analyze.NewBundle(bucket)
-		var rep curate.Report
-		td := time.Now()
-		for rec, err := range curate.StreamFile(path, "", curate.DefaultOptions(), &rep) {
-			if err != nil {
-				return res, err
-			}
-			b.Observe(rec)
-		}
-		res.PhaseMS.DecodeMS = ms(time.Since(td))
-		tf := time.Now()
-		touchBundle(b)
-		res.PhaseMS.FinalizeMS = ms(time.Since(tf))
-		res.Rows = b.Records
-		res.Digest = bundleDigest(b)
 	case "parallel":
 		b := analyze.NewBundle(bucket)
 		shards := analyze.NewShardSet(bucket)
@@ -388,8 +374,15 @@ func measureCell(path, mode string, workers int) (benchResult, error) {
 		res.Digest = bundleDigest(b)
 	case "slices":
 		td := time.Now()
-		recs, _, err := curate.LoadRecordsFile(path)
-		if err != nil {
+		var recs []slurm.Record
+		var rep curate.Report
+		if _, err := curate.StreamFileParallel(path, "", curate.Options{Workers: 1}, &rep,
+			func(int) func(*slurm.Record) bool {
+				return func(rec *slurm.Record) bool {
+					recs = append(recs, slurm.Retain(rec))
+					return true
+				}
+			}); err != nil {
 			return res, err
 		}
 		res.PhaseMS.DecodeMS = ms(time.Since(td))

@@ -10,11 +10,11 @@ import (
 // TestWorkflowParallelIngestMatchesSequential pins the tentpole
 // determinism contract end to end: a workflow run with the parallel
 // chunked byte ingest plane (IngestWorkers=4) must emit figure JSON and
-// CSV sidecars byte-identical to the sequential run, with the same
-// curation report.
+// CSV sidecars byte-identical to the one-worker run, which decodes each
+// period file as a single chunk, with the same curation report.
 func TestWorkflowParallelIngestMatchesSequential(t *testing.T) {
 	seqCfg := baseConfig(t)
-	seqCfg.IngestWorkers = 1 // pin the sequential baseline (0 = auto)
+	seqCfg.IngestWorkers = 1 // pin the single-chunk baseline (0 = auto)
 	seqArt, err := Run(context.Background(), seqCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,19 @@ func TestWorkflowFiguresMatchDirectBuilders(t *testing.T) {
 	for _, f := range art.Fetched {
 		paths = append(paths, filepath.Join(cfg.CacheDir, sacct.PeriodFileName(f.Period)))
 	}
-	recs, _, err := curate.LoadRecordsFiles(paths)
-	if err != nil {
-		t.Fatal(err)
+	var recs []slurm.Record
+	for _, path := range paths {
+		var rep curate.Report
+		_, err := curate.StreamFileParallel(path, "", curate.Options{Workers: 1}, &rep,
+			func(int) func(*slurm.Record) bool {
+				return func(rec *slurm.Record) bool {
+					recs = append(recs, slurm.Retain(rec))
+					return true
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		return slurm.CompareJobID(recs[i].ID, recs[j].ID) < 0

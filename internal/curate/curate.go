@@ -8,7 +8,6 @@ package curate
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
@@ -28,14 +27,14 @@ type Options struct {
 	ExpandCounts bool
 	// Metrics, when non-nil, counts the stream's work under
 	// curate_rows_read_total / curate_rows_kept_total /
-	// curate_rows_dropped_total; the parallel path additionally
-	// publishes ingest_chunks_total / ingest_chunk_rows /
-	// ingest_chunk_seconds.
+	// curate_rows_dropped_total, ingest_chunks_total /
+	// ingest_chunk_rows / ingest_chunk_seconds.
 	Metrics *obs.Registry
 	// Workers sets how many chunks StreamFileParallel splits a period
 	// file into and decodes concurrently. Values below 2 select a
-	// single chunk (the whole data region) on the same zero-alloc byte
-	// decode path. Ignored by the sequential Stream/StreamFile.
+	// single chunk (the whole data region), decoded in order on one
+	// goroutine; sidecars and records are byte-identical at every
+	// worker count.
 	Workers int
 	// Pool, when non-nil, is the shared ingest-worker budget that
 	// concurrent period tasks borrow extra decoders from: each
@@ -91,92 +90,8 @@ var countFields = map[string]bool{
 	"ReqCPUS": true, "Restarts": true, "ConsumedEnergy": true,
 }
 
-// LoadRecords reads raw pipe-separated text (with its header line),
-// dropping malformed rows, and returns the clean records. This is the
-// in-memory half of the stage: the analytics layer consumes its output.
-// It is a collect-wrapper over Stream; callers that can consume records
-// one at a time should range over Stream instead.
-func LoadRecords(r io.Reader) ([]slurm.Record, Report, error) {
-	var out []slurm.Record
-	var rep Report
-	for rec, err := range Stream(r, nil, Options{}, &rep) {
-		if err != nil {
-			return nil, rep, err
-		}
-		out = append(out, *rec)
-	}
-	return out, rep, nil
-}
-
-// LoadRecordsFile reads and curates one Obtain-data output file. Errors
-// are attributed to the file's path.
-func LoadRecordsFile(path string) ([]slurm.Record, Report, error) {
-	var out []slurm.Record
-	var rep Report
-	for rec, err := range StreamFile(path, "", Options{}, &rep) {
-		if err != nil {
-			return nil, rep, err
-		}
-		out = append(out, *rec)
-	}
-	return out, rep, nil
-}
-
-// LoadRecordsFiles curates several files (one per fetched period) into a
-// single record set, accumulating the report. A failure carries the
-// offending file's path.
-func LoadRecordsFiles(paths []string) ([]slurm.Record, Report, error) {
-	var all []slurm.Record
-	var rep Report
-	for _, p := range paths {
-		recs, r, err := LoadRecordsFile(p)
-		rep.Add(r)
-		if err != nil {
-			return nil, rep, err
-		}
-		all = append(all, recs...)
-	}
-	return all, rep, nil
-}
-
-// ToCSV converts raw pipe-separated text to CSV, dropping malformed rows
-// and applying the normalisations — the on-disk half of the stage. It
-// drains Stream with the record consumer discarded.
-func ToCSV(r io.Reader, w io.Writer, opts Options) (Report, error) {
-	var rep Report
-	for _, err := range Stream(r, w, opts, &rep) {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
-}
-
-// normalise applies the per-column unit conversions.
-func normalise(field, value string, opts Options) (string, error) {
-	switch {
-	case opts.DurationsAsMinutes && durationFields[field]:
-		d, err := slurm.ParseDuration(value)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatFloat(d.Minutes(), 'f', 2, 64), nil
-	case opts.ExpandCounts && countFields[field]:
-		n, err := slurm.ParseCount(value)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(n, 10), nil
-	default:
-		return value, nil
-	}
-}
-
-// normaliseBytes is normalise for the byte decode path. It produces the
-// same output strings for every cell both parsers accept: the byte
-// parsers are exact mirrors of the string ones, and the formatting side
-// (FormatFloat/FormatInt) is shared, so parallel sidecars stay
-// byte-identical to sequential ones.
+// normaliseBytes applies the per-column unit conversions to one cell
+// the decoder accepted.
 func normaliseBytes(field string, cell []byte, opts Options) (string, error) {
 	switch {
 	case opts.DurationsAsMinutes && durationFields[field]:
@@ -209,17 +124,6 @@ func sidecarHeader(fields []string, opts Options) []string {
 		header[i] = name
 	}
 	return header
-}
-
-// ToCSVFile curates inPath (pipe text) into outPath (CSV).
-func ToCSVFile(inPath, outPath string, opts Options) (Report, error) {
-	var rep Report
-	for _, err := range StreamFile(inPath, outPath, opts, &rep) {
-		if err != nil {
-			return rep, err
-		}
-	}
-	return rep, nil
 }
 
 // MinutesOf is a helper for tests and analytics reading curated CSVs: it

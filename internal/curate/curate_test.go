@@ -1,13 +1,13 @@
 package curate
 
 import (
-	"bytes"
 	"encoding/csv"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
+
+	"slurmsight/internal/slurm"
 )
 
 const sample = `JobID|User|State|Elapsed|Timelimit|NNodes
@@ -21,8 +21,48 @@ const sampleWithJunk = sample +
 	"100005|eve|COMPLETED|xx:yy:zz|01:00:00|4\n" + // bad duration
 	"100006|frank|COMPLETED|00:05:00|00:30:00|2\n"
 
+// writeInput writes a period file body to a fresh temp file.
+func writeInput(t *testing.T, name, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// curateOne runs StreamFileParallel at one worker over path, retaining
+// every record it yields.
+func curateOne(path, csvPath string, opts Options) ([]slurm.Record, Report, error) {
+	opts.Workers = 1
+	var recs []slurm.Record
+	var rep Report
+	_, err := StreamFileParallel(path, csvPath, opts, &rep, func(int) func(*slurm.Record) bool {
+		return func(rec *slurm.Record) bool {
+			recs = append(recs, slurm.Retain(rec))
+			return true
+		}
+	})
+	return recs, rep, err
+}
+
+// readCSV parses a sidecar file.
+func readCSV(t *testing.T, path string) [][]string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestLoadRecordsClean(t *testing.T) {
-	recs, rep, err := LoadRecords(strings.NewReader(sample))
+	recs, rep, err := curateOne(writeInput(t, "jan.txt", sample), "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +81,7 @@ func TestLoadRecordsClean(t *testing.T) {
 }
 
 func TestLoadRecordsDropsMalformed(t *testing.T) {
-	recs, rep, err := LoadRecords(strings.NewReader(sampleWithJunk))
+	recs, rep, err := curateOne(writeInput(t, "jan.txt", sampleWithJunk), "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,27 +102,24 @@ func TestLoadRecordsDropsMalformed(t *testing.T) {
 }
 
 func TestLoadRecordsErrors(t *testing.T) {
-	if _, _, err := LoadRecords(strings.NewReader("")); err == nil {
+	if _, _, err := curateOne(writeInput(t, "empty.txt", ""), "", Options{}); err == nil {
 		t.Error("empty input: want error")
 	}
-	if _, _, err := LoadRecords(strings.NewReader("JobID|Mystery\n")); err == nil {
+	if _, _, err := curateOne(writeInput(t, "bad.txt", "JobID|Mystery\n"), "", Options{}); err == nil {
 		t.Error("unknown header: want error")
 	}
 }
 
 func TestToCSVNormalisation(t *testing.T) {
-	var out bytes.Buffer
-	rep, err := ToCSV(strings.NewReader(sampleWithJunk), &out, DefaultOptions())
+	out := filepath.Join(t.TempDir(), "jan.csv")
+	_, rep, err := curateOne(writeInput(t, "jan.txt", sampleWithJunk), out, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Kept != 4 || rep.Malformed != 2 {
 		t.Errorf("report = %+v", rep)
 	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readCSV(t, out)
 	if len(rows) != rep.Kept+1 {
 		t.Fatalf("csv rows = %d", len(rows))
 	}
@@ -108,14 +145,11 @@ func TestToCSVNormalisation(t *testing.T) {
 }
 
 func TestToCSVWithoutNormalisation(t *testing.T) {
-	var out bytes.Buffer
-	if _, err := ToCSV(strings.NewReader(sample), &out, Options{}); err != nil {
+	out := filepath.Join(t.TempDir(), "jan.csv")
+	if _, _, err := curateOne(writeInput(t, "jan.txt", sample), out, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readCSV(t, out)
 	if rows[0][3] != "Elapsed" {
 		t.Errorf("header renamed despite opts: %v", rows[0])
 	}
@@ -126,33 +160,33 @@ func TestToCSVWithoutNormalisation(t *testing.T) {
 
 func TestToCSVFileAndLoadFiles(t *testing.T) {
 	dir := t.TempDir()
-	in1 := filepath.Join(dir, "jan.txt")
-	in2 := filepath.Join(dir, "feb.txt")
-	if err := os.WriteFile(in1, []byte(sample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(in2, []byte(sampleWithJunk), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	in1 := writeInput(t, "jan.txt", sample)
+	in2 := writeInput(t, "feb.txt", sampleWithJunk)
 	outCSV := filepath.Join(dir, "jan.csv")
-	rep, err := ToCSVFile(in1, outCSV, DefaultOptions())
+	_, rep, err := curateOne(in1, outCSV, DefaultOptions())
 	if err != nil || rep.Kept != 3 {
-		t.Fatalf("ToCSVFile: %+v, %v", rep, err)
+		t.Fatalf("sidecar pass: %+v, %v", rep, err)
 	}
 	if _, err := os.Stat(outCSV); err != nil {
 		t.Fatal(err)
 	}
-	recs, rep2, err := LoadRecordsFiles([]string{in1, in2})
-	if err != nil {
-		t.Fatal(err)
+	var all []slurm.Record
+	var rep2 Report
+	for _, in := range []string{in1, in2} {
+		recs, r, err := curateOne(in, "", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep2.Add(r)
+		all = append(all, recs...)
 	}
-	if rep2.Total != 9 || len(recs) != rep2.Kept {
-		t.Errorf("combined report = %+v with %d records", rep2, len(recs))
+	if rep2.Total != 9 || len(all) != rep2.Kept {
+		t.Errorf("combined report = %+v with %d records", rep2, len(all))
 	}
-	if _, _, err := LoadRecordsFiles([]string{filepath.Join(dir, "nope.txt")}); err == nil {
+	if _, _, err := curateOne(filepath.Join(dir, "nope.txt"), "", Options{}); err == nil {
 		t.Error("missing file: want error")
 	}
-	if _, err := ToCSVFile(filepath.Join(dir, "nope.txt"), outCSV, Options{}); err == nil {
+	if _, _, err := curateOne(filepath.Join(dir, "nope.txt"), outCSV, Options{}); err == nil {
 		t.Error("missing input: want error")
 	}
 }

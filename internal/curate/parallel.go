@@ -14,6 +14,22 @@ import (
 	"slurmsight/internal/slurm"
 )
 
+// PassStats counts the streaming stage's work since process start.
+// Tests pin the data plane's single-pass properties against it: a
+// workflow run over P period files with R clean rows must open exactly
+// P files and decode each input row exactly once.
+type PassStats struct {
+	FilesOpened int64 // period files curated by StreamFileParallel
+	RowsDecoded int64 // data rows decoded (kept + malformed)
+}
+
+var passFiles, passRows atomic.Int64
+
+// Stats returns the cumulative streaming-pass counters.
+func Stats() PassStats {
+	return PassStats{FilesOpened: passFiles.Load(), RowsDecoded: passRows.Load()}
+}
+
 // ShardFunc hands StreamFileParallel the record consumer for one chunk.
 // It is called at most once per chunk, possibly from several goroutines
 // concurrently (guard shared state); the consumer it returns is then
@@ -28,9 +44,10 @@ type ShardFunc func(chunk int) func(*slurm.Record) bool
 // (slurm.ChunkScanner), each chunk runs the zero-alloc byte decode path
 // end to end — tokenise, validate, normalise, spill its sidecar rows —
 // and a single ordered writer goroutine appends the spills to csvPath in
-// chunk order, so the sidecar is byte-identical to the sequential
-// StreamFile one. Consumers observe records in-shard via shard; combine
-// per-chunk results in chunk index order to reproduce sequential order.
+// chunk order, so the sidecar is byte-identical at every worker count.
+// At one worker the whole data region is one chunk, decoded in file
+// order. Consumers observe records in-shard via shard; combine
+// per-chunk results in chunk index order to reproduce file order.
 //
 // Counters in rep are exact on success (every row decoded exactly
 // once); after a terminal error or an early consumer stop they reflect
@@ -46,7 +63,7 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 	if err != nil {
 		return 0, fmt.Errorf("curate: %s: %w", inPath, err)
 	}
-	passFiles.Add(1) // one logical open per period file, as in StreamFile
+	passFiles.Add(1) // one logical open per period file
 	chunks = cs.NumChunks()
 
 	m := chunkMetrics{
@@ -118,7 +135,7 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 				if csvPath != "" {
 					sp = spillPath(i)
 				}
-				chunkErrs[i] = runChunk(cs, i, sp, opts, &reports[i], shard, &stopped, m)
+				chunkErrs[i] = runChunkFile(cs, i, sp, opts, &reports[i], shard, &stopped, m)
 				close(chunkDone[i])
 			}
 		}()
@@ -126,8 +143,8 @@ func StreamFileParallel(inPath, csvPath string, opts Options, rep *Report, shard
 
 	// The single ordered sidecar writer: as each chunk completes, in
 	// chunk order, append its spill to the final file. After the first
-	// failed chunk the remaining spills are only cleaned up — the
-	// sequential path never writes rows past a terminal error either.
+	// failed chunk the remaining spills are only cleaned up, so the
+	// sidecar never holds rows past a terminal error.
 	writerDone := make(chan error, 1)
 	go func() {
 		var werr error
@@ -206,12 +223,37 @@ type chunkMetrics struct {
 	dropped *obs.Counter
 }
 
+// runChunkFile runs chunk i with its sidecar rows spilled to spillPath
+// (no sidecar when it is empty). A spill close error is terminal unless
+// the stream is already stopping, in which case it is counted into
+// local.SidecarErrors.
+func runChunkFile(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, local *Report, shard ShardFunc, stopped *atomic.Bool, m chunkMetrics) error {
+	if spillPath == "" {
+		return runChunk(cs, i, nil, opts, local, shard, stopped, m)
+	}
+	sf, err := os.Create(spillPath)
+	if err != nil {
+		stopped.Store(true)
+		return fmt.Errorf("create sidecar shard: %w", err)
+	}
+	err = runChunk(cs, i, sf, opts, local, shard, stopped, m)
+	if cerr := sf.Close(); cerr != nil {
+		if err == nil && !stopped.Load() {
+			err = cerr
+			stopped.Store(true)
+		} else {
+			local.SidecarErrors++
+		}
+	}
+	return err
+}
+
 // runChunk decodes one chunk to completion: counting into local,
-// spilling sidecar rows to spillPath (when non-empty), and feeding the
+// writing its sidecar rows to spill (when non-nil), and feeding the
 // chunk's consumer. It stops early when another chunk trips stopped.
-// Sidecar spill errors are terminal unless the stream is already
+// Sidecar write errors are terminal unless the stream is already
 // stopping, in which case they are counted into local.SidecarErrors.
-func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, local *Report, shard ShardFunc, stopped *atomic.Bool, m chunkMetrics) error {
+func runChunk(cs *slurm.ChunkScanner, i int, spill io.Writer, opts Options, local *Report, shard ShardFunc, stopped *atomic.Bool, m chunkMetrics) error {
 	start := time.Now()
 	rr, closer, err := cs.Open(i)
 	if err != nil {
@@ -223,17 +265,11 @@ func runChunk(cs *slurm.ChunkScanner, i int, spillPath string, opts Options, loc
 	if shard != nil {
 		consumer = shard(i)
 	}
-	var sf *os.File
 	var sw *csv.Writer
 	var row []string
 	fields := cs.Fields()
-	if spillPath != "" {
-		sf, err = os.Create(spillPath)
-		if err != nil {
-			stopped.Store(true)
-			return fmt.Errorf("create sidecar shard: %w", err)
-		}
-		sw = csv.NewWriter(sf)
+	if spill != nil {
+		sw = csv.NewWriter(spill)
 		row = make([]string, len(fields))
 	}
 
@@ -283,13 +319,6 @@ decode:
 		if ferr := sw.Error(); ferr != nil {
 			if terminal == nil && !stopped.Load() {
 				terminal = ferr
-			} else {
-				local.SidecarErrors++
-			}
-		}
-		if cerr := sf.Close(); cerr != nil {
-			if terminal == nil && !stopped.Load() {
-				terminal = cerr
 			} else {
 				local.SidecarErrors++
 			}

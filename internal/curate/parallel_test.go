@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"slurmsight/internal/obs"
@@ -37,24 +38,24 @@ func buildPeriod(t *testing.T, rng *rand.Rand, n int) string {
 	return path
 }
 
-// TestStreamFileParallelMatchesSequential is the ISSUE's parity
-// property: for every worker count the parallel path must produce the
-// same records in the same order, an equal Report, and a byte-identical
-// CSV sidecar to the sequential StreamFile pass.
+// TestStreamFileParallelMatchesSequential is the parity property: for
+// every worker count the chunked path must produce the same records in
+// the same order, an equal Report, and a byte-identical CSV sidecar to
+// the one-worker pass, which decodes the whole file as one chunk.
 func TestStreamFileParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	in := buildPeriod(t, rng, 400)
 	dir := t.TempDir()
 
 	seqCSV := filepath.Join(dir, "seq.csv")
-	var seqRep Report
+	recs, seqRep, err := curateOne(in, seqCSV, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seqRecs []string
 	fields := slurm.SelectedNames()
-	for rec, err := range StreamFile(in, seqCSV, DefaultOptions(), &seqRep) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, eerr := slurm.EncodeRecord(rec, fields)
+	for i := range recs {
+		enc, eerr := slurm.EncodeRecord(&recs[i], fields)
 		if eerr != nil {
 			t.Fatal(eerr)
 		}
@@ -167,16 +168,9 @@ func TestStreamFileParallelCreateErrorCarriesPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "out.csv") {
 		t.Errorf("create error lacks sidecar path: %v", err)
 	}
-	// The sequential wrapper shares the contract (satellite: wrap
-	// sidecar create/close errors with the file path).
-	for _, serr := range StreamFile(in, badCSV, DefaultOptions(), &rep) {
-		if serr == nil {
-			t.Fatal("StreamFile: want create error")
-		}
-		if !strings.Contains(serr.Error(), "out.csv") {
-			t.Errorf("StreamFile create error lacks path: %v", serr)
-		}
-		break
+	// One worker shares the contract.
+	if _, _, err := curateOne(in, badCSV, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "out.csv") {
+		t.Errorf("one-worker create error lacks sidecar path: %v", err)
 	}
 }
 
@@ -217,12 +211,22 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestStreamEarlyStopCountsSidecarErrors(t *testing.T) {
-	// Satellite: when the consumer has already stopped, a sidecar flush
-	// failure cannot be yielded — it must be counted, not dropped.
+	// When the consumer has already stopped, a sidecar flush failure
+	// cannot be returned — it must be counted, not dropped. A temp file
+	// cannot be made to fail a write, so the one-worker chunk decoder
+	// runs against a failing writer directly.
+	cs, err := slurm.NewChunkScanner(writeInput(t, "jan.txt", sample), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rep Report
+	var stopped atomic.Bool
 	w := &failWriter{n: 0} // every underlying write fails
-	for range Stream(strings.NewReader(sample), w, DefaultOptions(), &rep) {
-		break // consumer abandons immediately
+	stopAtOnce := func(int) func(*slurm.Record) bool {
+		return func(*slurm.Record) bool { return false } // consumer abandons immediately
+	}
+	if err := runChunk(cs, 0, w, DefaultOptions(), &rep, stopAtOnce, &stopped, chunkMetrics{}); err != nil {
+		t.Fatalf("early stop surfaced an error: %v", err)
 	}
 	if rep.SidecarErrors == 0 {
 		t.Errorf("flush failure after early stop not counted: %+v", rep)

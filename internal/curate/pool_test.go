@@ -21,11 +21,9 @@ func TestStreamFileParallelPoolParity(t *testing.T) {
 	dir := t.TempDir()
 
 	seqCSV := filepath.Join(dir, "seq.csv")
-	var seqRep Report
-	for _, err := range StreamFile(in, seqCSV, DefaultOptions(), &seqRep) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, seqRep, err := curateOne(in, seqCSV, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
 	seqBytes, err := os.ReadFile(seqCSV)
 	if err != nil {
@@ -60,7 +58,7 @@ func TestStreamFileParallelPoolParity(t *testing.T) {
 
 // TestStreamFileParallelPoolSharedAcrossPeriods runs several period
 // tasks concurrently against one small pool — the core.Run shape — and
-// checks each still matches its own sequential pass.
+// checks each still matches its own one-worker pass.
 func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 	const periods = 4
 	p := pool.New(2)
@@ -77,10 +75,9 @@ func TestStreamFileParallelPoolSharedAcrossPeriods(t *testing.T) {
 			seqCSV: filepath.Join(dir, "seq"+string(rune('a'+i))+".csv"),
 			parCSV: filepath.Join(dir, "par"+string(rune('a'+i))+".csv"),
 		}
-		for _, err := range StreamFile(pd.in, pd.seqCSV, DefaultOptions(), &pd.seqRep) {
-			if err != nil {
-				t.Fatal(err)
-			}
+		var err error
+		if _, pd.seqRep, err = curateOne(pd.in, pd.seqCSV, DefaultOptions()); err != nil {
+			t.Fatal(err)
 		}
 		ps = append(ps, pd)
 	}

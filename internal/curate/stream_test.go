@@ -1,34 +1,31 @@
 package curate
 
 import (
-	"bytes"
-	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"slurmsight/internal/slurm"
 )
 
 func TestStreamSinglePassCSVAndRecords(t *testing.T) {
-	var out bytes.Buffer
-	var rep Report
-	var users []string
-	for rec, err := range Stream(strings.NewReader(sampleWithJunk), &out, DefaultOptions(), &rep) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		users = append(users, rec.User)
+	out := filepath.Join(t.TempDir(), "jan.csv")
+	recs, rep, err := curateOne(writeInput(t, "jan.txt", sampleWithJunk), out, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if rep.Total != 6 || rep.Kept != 4 || rep.Malformed != 2 {
 		t.Errorf("report = %+v", rep)
 	}
+	var users []string
+	for _, rec := range recs {
+		users = append(users, rec.User)
+	}
 	if strings.Join(users, ",") != "alice,bob,carol,frank" {
 		t.Errorf("users = %v", users)
 	}
-	rows, err := csv.NewReader(&out).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readCSV(t, out)
 	if len(rows) != rep.Kept+1 {
 		t.Fatalf("csv rows = %d", len(rows))
 	}
@@ -38,86 +35,60 @@ func TestStreamSinglePassCSVAndRecords(t *testing.T) {
 }
 
 func TestStreamNilCSVWriter(t *testing.T) {
-	var rep Report
-	n := 0
-	for _, err := range Stream(strings.NewReader(sample), nil, Options{}, &rep) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
+	recs, rep, err := curateOne(writeInput(t, "jan.txt", sample), "", Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 3 || rep.Kept != 3 {
-		t.Errorf("n=%d rep=%+v", n, rep)
+	if len(recs) != 3 || rep.Kept != 3 {
+		t.Errorf("n=%d rep=%+v", len(recs), rep)
 	}
 }
 
 func TestStreamEarlyBreakStillFlushesCSV(t *testing.T) {
-	var out bytes.Buffer
+	out := filepath.Join(t.TempDir(), "jan.csv")
+	opts := Options{Workers: 1}
 	var rep Report
-	for range Stream(strings.NewReader(sample), &out, Options{}, &rep) {
-		break // consumer abandons after the first record
-	}
-	rows, err := csv.NewReader(&out).ReadAll()
+	_, err := StreamFileParallel(writeInput(t, "jan.txt", sample), out, opts, &rep,
+		func(int) func(*slurm.Record) bool {
+			return func(*slurm.Record) bool { return false } // abandon after the first record
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Header plus the one row that was yielded must have been flushed.
-	if len(rows) != 2 {
+	if rows := readCSV(t, out); len(rows) != 2 {
 		t.Errorf("flushed rows = %d, want 2", len(rows))
 	}
 }
 
 func TestStreamHeaderError(t *testing.T) {
-	var rep Report
-	sawErr := false
-	for rec, err := range Stream(strings.NewReader("JobID|Mystery\n"), nil, Options{}, &rep) {
-		if rec != nil {
-			t.Errorf("unexpected record %+v", rec)
-		}
-		if err != nil {
-			sawErr = true
-		}
+	recs, _, err := curateOne(writeInput(t, "bad.txt", "JobID|Mystery\n"), "", Options{})
+	if len(recs) != 0 {
+		t.Errorf("unexpected records %+v", recs)
 	}
-	if !sawErr {
+	if err == nil {
 		t.Error("unknown header field: want terminal error")
 	}
 }
 
 func TestStreamFileErrorsCarryPath(t *testing.T) {
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad-period.txt")
-	if err := os.WriteFile(bad, []byte("JobID|Mystery\n1|2\n"), 0o644); err != nil {
-		t.Fatal(err)
+	bad := writeInput(t, "bad-period.txt", "JobID|Mystery\n1|2\n")
+	if _, _, err := curateOne(bad, "", Options{}); err == nil || !strings.Contains(err.Error(), "bad-period.txt") {
+		t.Errorf("records-only error lacks path: %v", err)
 	}
-	_, _, err := LoadRecordsFile(bad)
-	if err == nil || !strings.Contains(err.Error(), "bad-period.txt") {
-		t.Errorf("LoadRecordsFile error lacks path: %v", err)
-	}
-	_, _, err = LoadRecordsFiles([]string{bad})
-	if err == nil || !strings.Contains(err.Error(), "bad-period.txt") {
-		t.Errorf("LoadRecordsFiles error lacks path: %v", err)
-	}
-	_, err = ToCSVFile(bad, filepath.Join(dir, "out.csv"), Options{})
-	if err == nil || !strings.Contains(err.Error(), "bad-period.txt") {
-		t.Errorf("ToCSVFile error lacks path: %v", err)
+	if _, _, err := curateOne(bad, filepath.Join(dir, "out.csv"), Options{}); err == nil || !strings.Contains(err.Error(), "bad-period.txt") {
+		t.Errorf("sidecar error lacks path: %v", err)
 	}
 }
 
 func TestStreamFileOpensInputOnce(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "jan.txt")
-	if err := os.WriteFile(in, []byte(sampleWithJunk), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	in := writeInput(t, "jan.txt", sampleWithJunk)
 	before := Stats()
-	var rep Report
-	n := 0
-	for rec, err := range StreamFile(in, filepath.Join(dir, "jan.csv"), DefaultOptions(), &rep) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = rec
-		n++
+	recs, rep, err := curateOne(in, filepath.Join(dir, "jan.csv"), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
 	after := Stats()
 	if opened := after.FilesOpened - before.FilesOpened; opened != 1 {
@@ -126,8 +97,8 @@ func TestStreamFileOpensInputOnce(t *testing.T) {
 	if decoded := after.RowsDecoded - before.RowsDecoded; decoded != 6 {
 		t.Errorf("rows decoded = %d, want 6 (one pass over kept+malformed)", decoded)
 	}
-	if n != 4 || rep.Kept != 4 {
-		t.Errorf("n=%d rep=%+v", n, rep)
+	if len(recs) != 4 || rep.Kept != 4 {
+		t.Errorf("n=%d rep=%+v", len(recs), rep)
 	}
 	// The CSV sidecar must exist from the same pass.
 	data, err := os.ReadFile(filepath.Join(dir, "jan.csv"))

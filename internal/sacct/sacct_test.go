@@ -264,6 +264,41 @@ func TestDumpFileLoadFile(t *testing.T) {
 	}
 }
 
+// TestDumpFileAtomic pins the atomic write: a dump that fails (here, a
+// corrupt lazy shard that cannot materialise) must leave the previous
+// file byte-identical and no temporary file behind.
+func TestDumpFileAtomic(t *testing.T) {
+	st, _ := buildStore(t, 40)
+	path := filepath.Join(t.TempDir(), "dump.txt")
+	if err := st.DumpFile(path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binPath := dumpBinary(t, st)
+	corruptFirstColumn(t, binPath)
+	bad, err := OpenBinary(binPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if err := bad.DumpFile(path); err == nil {
+		t.Fatal("dump of a corrupt store succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("failed dump changed the previous file (%d bytes, was %d)", len(after), len(before))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind: %v", err)
+	}
+}
+
 func TestFetchMonthly(t *testing.T) {
 	st, _ := buildStore(t, 40)
 	dir := t.TempDir()

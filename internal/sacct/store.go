@@ -311,104 +311,50 @@ func (s *Store) Dump(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DumpFile writes the store to a file.
+// DumpFile writes the store to a file atomically: the dump goes to a
+// temporary file in the target directory that is renamed into place
+// only once complete, so a failed dump leaves any previous file intact.
 func (s *Store) DumpFile(path string) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := s.Dump(f); err != nil {
-		f.Close()
+	err = s.Dump(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
-	return f.Close()
+	return os.Rename(tmp, path)
 }
 
 // maxLoadLine bounds one dump row. A row past it fails the load with a
-// line-numbered error rather than an opaque scanner failure.
+// line-numbered error.
 const maxLoadLine = 8 << 20
 
-// loadLineReader reads dump lines through a bufio.Reader with a
-// growable spill, so rows longer than the read buffer still decode and
-// rows past maxLoadLine fail with their line number.
-type loadLineReader struct {
-	r    *bufio.Reader
-	long []byte
-	line int // 1-based number of the line most recently returned
-}
-
-// next returns the next line with its "\n" (and any "\r" before it)
-// stripped. io.EOF marks clean end of input.
-func (lr *loadLineReader) next() ([]byte, error) {
-	line, err := lr.r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		lr.long = append(lr.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			if len(lr.long) > maxLoadLine {
-				return nil, fmt.Errorf("sacct: line %d: row exceeds %d bytes", lr.line+1, maxLoadLine)
-			}
-			line, err = lr.r.ReadSlice('\n')
-			lr.long = append(lr.long, line...)
-		}
-		line = lr.long
-	}
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if len(line) == 0 {
-		return nil, io.EOF
-	}
-	lr.line++
-	if n := len(line); line[n-1] == '\n' {
-		line = line[:n-1]
-	}
-	if len(line) > maxLoadLine {
-		return nil, fmt.Errorf("sacct: line %d: row exceeds %d bytes", lr.line, maxLoadLine)
-	}
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// Load reads a text Dump back into a store. Malformed lines are returned
-// in count; the paper's curation stage discards them downstream, so the
-// store keeps only clean rows.
+// Load reads a text Dump back into a store through the shared byte
+// record reader. Malformed lines are returned in count; the paper's
+// curation stage discards them downstream, so the store keeps only
+// clean rows.
 func Load(r io.Reader) (*Store, int, error) {
-	lr := &loadLineReader{r: bufio.NewReaderSize(r, 1<<16)}
-	header, err := lr.next()
-	if err == io.EOF {
-		return nil, 0, fmt.Errorf("sacct: empty dump")
-	}
+	br, err := slurm.NewByteRecordReaderLimit(r, maxLoadLine)
 	if err != nil {
-		return nil, 0, err
-	}
-	fields := strings.Split(strings.TrimSpace(string(header)), slurm.Separator)
-	for _, f := range fields {
-		if _, ok := slurm.FieldByName(f); !ok {
-			return nil, 0, fmt.Errorf("sacct: dump header has unknown field %q", f)
-		}
+		return nil, 0, fmt.Errorf("sacct: dump header: %w", err)
 	}
 	st := NewStore()
 	malformed := 0
-	for {
-		raw, err := lr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, malformed, err
-		}
-		line := string(raw)
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		rec, err := slurm.DecodeRecord(line, fields)
-		if err != nil {
+	for rec, err := range br.All() {
+		if _, ok := err.(*slurm.RowError); ok {
 			malformed++
 			continue
 		}
-		if err := st.Add(*rec); err != nil {
+		if err != nil {
+			return nil, malformed, fmt.Errorf("sacct: load: %w", err)
+		}
+		if err := st.Add(slurm.Retain(rec)); err != nil {
 			// Unreachable for a fresh text store (no lazy shards), but
 			// the error is not ours to swallow if that ever changes.
 			return nil, malformed, err

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -299,9 +300,10 @@ func validFigure(key string) bool {
 }
 
 // bundleAt returns the figure bundle for gen, re-collecting when the
-// cached one is from another generation. An append landing mid-scan can
-// leave a bundle slightly ahead of its label; the next generation's
-// request recomputes, so staleness never outlives one append.
+// cached one is from another generation. The returned bundle is
+// read-only. An append landing mid-scan can leave a bundle slightly
+// ahead of its label; the next generation's request recomputes, so
+// staleness never outlives one append.
 func (s *Server) bundleAt(ctx context.Context, gen uint64) (*analyze.Bundle, error) {
 	s.figMu.Lock()
 	defer s.figMu.Unlock()
@@ -315,6 +317,9 @@ func (s *Server) bundleAt(ctx context.Context, gen uint64) (*analyze.Bundle, err
 	if err != nil {
 		return nil, err
 	}
+	// Warm the lazily swept timeline before publishing: concurrent
+	// figure requests share b and may only read it.
+	b.Timeline.Result()
 	s.figBundle, s.figGen = b, gen
 	return b, nil
 }
@@ -455,33 +460,42 @@ func decodeBinaryBatch(body []byte) ([]slurm.Record, error) {
 // header, malformed rows are counted and skipped (the curation stage's
 // contract), an unusable header is an error.
 func decodeTextBatch(body []byte) (recs []slurm.Record, malformed int, err error) {
-	var fields []string
-	for _, raw := range strings.Split(string(body), "\n") {
-		line := strings.TrimSuffix(raw, "\r")
-		if strings.TrimSpace(line) == "" {
+	var dec *slurm.Decoder
+	for rest := body; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if fields == nil {
-			names := strings.Split(line, slurm.Separator)
-			for _, name := range names {
-				if _, ok := slurm.FieldByName(name); !ok {
-					return nil, 0, fmt.Errorf("serve: header has unknown field %q", name)
-				}
+		if dec == nil {
+			if dec, err = headerDecoder(line); err != nil {
+				return nil, 0, fmt.Errorf("serve: %w", err)
 			}
-			fields = names
 			continue
 		}
-		rec, err := slurm.DecodeRecord(line, fields)
+		rec, err := dec.Decode(line)
 		if err != nil {
 			malformed++
 			continue
 		}
-		recs = append(recs, *rec)
+		recs = append(recs, slurm.Retain(rec))
 	}
-	if fields == nil {
+	if dec == nil {
 		return nil, 0, fmt.Errorf("serve: empty batch (no header line)")
 	}
 	return recs, malformed, nil
+}
+
+// headerDecoder resolves a pipe-text header line for the ingest paths,
+// naming an unknown column in the service's own error text.
+func headerDecoder(line []byte) (*slurm.Decoder, error) {
+	dec, err := slurm.NewDecoder(string(line))
+	var uf *slurm.UnknownFieldError
+	if errors.As(err, &uf) {
+		return nil, fmt.Errorf("header has unknown field %q", uf.Name)
+	}
+	return dec, err
 }
 
 // handleHealth reports liveness and store shape.

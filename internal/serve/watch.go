@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"slurmsight/internal/obs"
@@ -26,9 +26,9 @@ type Watcher struct {
 	Metrics  *obs.Registry        // nil meters nothing
 	Logf     func(string, ...any) // nil discards
 
-	fields  []string // resolved header, nil until seen
-	offset  int64    // bytes consumed through the last complete row
-	partial []byte   // bytes past the last newline, kept across polls
+	dec     *slurm.Decoder // resolved header, nil until seen
+	offset  int64          // bytes consumed through the last complete row
+	partial []byte         // bytes past the last newline, kept across polls
 }
 
 // Run tails the file until ctx is cancelled. A missing file is waited
@@ -83,7 +83,7 @@ func (w *Watcher) poll() (added, malformed int, err error) {
 	if info.Size() < w.offset {
 		// Rotated or truncated: the retained offset points past the new
 		// content, so start over, header included.
-		w.offset, w.fields, w.partial = 0, nil, nil
+		w.offset, w.dec, w.partial = 0, nil, nil
 	}
 	if info.Size() == w.offset {
 		return 0, 0, nil
@@ -105,37 +105,27 @@ func (w *Watcher) poll() (added, malformed int, err error) {
 	buf := append(w.partial, fresh...)
 	var batch []slurm.Record
 	for {
-		nl := -1
-		for i, b := range buf {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
+		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
 			break
 		}
-		line := strings.TrimSuffix(string(buf[:nl]), "\r")
+		line := bytes.TrimSuffix(buf[:nl], []byte("\r"))
 		buf = buf[nl+1:]
-		if strings.TrimSpace(line) == "" {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if w.fields == nil {
-			fields := strings.Split(line, slurm.Separator)
-			for _, name := range fields {
-				if _, ok := slurm.FieldByName(name); !ok {
-					return added, malformed, fmt.Errorf("header has unknown field %q", name)
-				}
+		if w.dec == nil {
+			if w.dec, err = headerDecoder(line); err != nil {
+				return added, malformed, err
 			}
-			w.fields = fields
 			continue
 		}
-		rec, err := slurm.DecodeRecord(line, w.fields)
+		rec, err := w.dec.Decode(line)
 		if err != nil {
 			malformed++
 			continue
 		}
-		batch = append(batch, *rec)
+		batch = append(batch, slurm.Retain(rec))
 	}
 	w.partial = append([]byte(nil), buf...)
 	if len(batch) > 0 {

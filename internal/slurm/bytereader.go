@@ -7,77 +7,60 @@ import (
 	"io"
 )
 
-// maxLineLen mirrors RecordReader's scanner buffer cap: lines longer
-// than this fail with bufio.ErrTooLong on both decode paths.
+// maxLineLen is the line-length cap of NewByteRecordReader and the
+// chunked decoders, in bytes before the line terminator.
 const maxLineLen = 1 << 20
 
-// internCap bounds the per-reader string and flag caches. Past it the
-// reader keeps decoding correctly but allocates fresh strings; real
-// sacct columns (users, accounts, partitions, states) stay far below.
-const internCap = 1 << 15
-
-// ByteRecordReader is the zero-alloc counterpart of RecordReader: the
-// same header contract and row semantics, but lines are pulled straight
-// from the read buffer as []byte, columns are tokenized without string
-// conversion, and typed fields decode through the Field.SetBytes parsers
-// (ParseTimeBytes, ParseDurationBytes, ...) instead of time.Parse and
-// strings.Split. Free-form string columns are interned — one allocation
-// per distinct value per reader, not per row — so steady-state decode of
-// a repetitive trace allocates nothing per row. The returned record and
-// the Row backing storage are valid only until the following Next call.
+// ByteRecordReader frames pipe-separated sacct text into lines and
+// decodes each through one Decoder: lines are pulled straight from the
+// read buffer as []byte, so steady-state decode allocates nothing per
+// row. The returned record and the Row backing storage are valid only
+// until the following Next call.
 type ByteRecordReader struct {
-	r      *bufio.Reader
-	fields []*Field // pre-resolved header columns, in header order
-	names  []string // header spellings, for error attribution
-	cols   [][]byte // per-row column scratch; subslices alias the read buffer
-	rec    Record   // per-row record scratch
-	line   int      // lines consumed so far (base included)
-	long   []byte   // spill for lines longer than the read buffer
-
-	interned   *Interner           // cell bytes → immutable string, for Set-path fields
-	flagsCache map[string][]string // raw Flags cell → pre-split, capacity-clipped slice
+	r    *bufio.Reader
+	dec  *Decoder
+	max  int    // longest accepted line, in bytes before "\n"
+	line int    // lines consumed so far (base included)
+	long []byte // spill for lines longer than the read buffer
 }
 
-// NewByteRecordReader reads and validates the header line of r. It
-// accepts exactly the headers NewRecordReader accepts.
+// NewByteRecordReader reads and validates the header line of r, capping
+// lines at 1 MiB. An empty input is ErrNoHeader; a header naming an
+// unknown field is an *UnknownFieldError.
 func NewByteRecordReader(r io.Reader) (*ByteRecordReader, error) {
-	br := newByteRecordReader(bufio.NewReaderSize(r, 1<<16), nil, nil, 0)
+	return NewByteRecordReaderLimit(r, maxLineLen)
+}
+
+// NewByteRecordReaderLimit is NewByteRecordReader with a caller-chosen
+// line cap: a line longer than maxLine bytes is a terminal error that
+// names its line number.
+func NewByteRecordReaderLimit(r io.Reader, maxLine int) (*ByteRecordReader, error) {
+	br := &ByteRecordReader{r: bufio.NewReaderSize(r, 1<<16), max: maxLine}
 	header, err := br.readLine()
 	if err == io.EOF {
-		return nil, fmt.Errorf("slurm: input has no header")
+		return nil, ErrNoHeader
 	}
 	if err != nil {
 		return nil, err
 	}
-	br.line = 1 // the header line
-	br.fields, br.names, err = resolveHeader(string(header))
-	if err != nil {
+	if br.dec, err = NewDecoder(string(header)); err != nil {
 		return nil, err
 	}
-	br.cols = make([][]byte, 0, len(br.fields))
 	return br, nil
 }
 
 // newByteRecordReader wraps an already-positioned reader whose header
 // was resolved elsewhere (the ChunkScanner path). lineBase seeds the
 // line counter: 1 for a chunk that starts right after the header (so
-// RowError lines match the sequential reader), 0 for interior chunks,
+// RowError lines match a whole-file reader), 0 for interior chunks,
 // whose line numbers are then chunk-relative.
-func newByteRecordReader(r *bufio.Reader, fields []*Field, names []string, lineBase int) *ByteRecordReader {
-	return &ByteRecordReader{
-		r:          r,
-		fields:     fields,
-		names:      names,
-		cols:       make([][]byte, 0, len(fields)),
-		line:       lineBase,
-		interned:   NewInterner(),
-		flagsCache: make(map[string][]string),
-	}
+func newByteRecordReader(r *bufio.Reader, dec *Decoder, lineBase int) *ByteRecordReader {
+	return &ByteRecordReader{r: r, dec: dec, max: maxLineLen, line: lineBase}
 }
 
 // Fields returns the header's field names in column order. The slice is
 // owned by the reader; callers must not modify it.
-func (br *ByteRecordReader) Fields() []string { return br.names }
+func (br *ByteRecordReader) Fields() []string { return br.dec.Fields() }
 
 // Line returns the line number of the most recently consumed input
 // line: 1-based in the input when the reader saw the header itself,
@@ -87,20 +70,20 @@ func (br *ByteRecordReader) Line() int { return br.line }
 // Row returns the raw columns of the row Next most recently decoded.
 // The backing storage aliases the read buffer and is reused by the
 // following Next call.
-func (br *ByteRecordReader) Row() [][]byte { return br.cols }
+func (br *ByteRecordReader) Row() [][]byte { return br.dec.Row() }
 
 // readLine returns the next input line with its trailing "\n" (and one
-// "\r" before it) stripped, mirroring bufio.ScanLines including the
-// final unterminated line. The slice aliases the read buffer (or the
-// long-line spill) and is valid until the next call.
+// "\r" before it) stripped, including a final unterminated line. The
+// slice aliases the read buffer (or the long-line spill) and is valid
+// until the next call.
 func (br *ByteRecordReader) readLine() ([]byte, error) {
 	line, err := br.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		// Rare long line: accumulate into owned spill storage.
 		br.long = append(br.long[:0], line...)
 		for err == bufio.ErrBufferFull {
-			if len(br.long) > maxLineLen {
-				return nil, bufio.ErrTooLong
+			if len(br.long) > br.max {
+				return nil, br.tooLong(br.line + 1)
 			}
 			line, err = br.r.ReadSlice('\n')
 			br.long = append(br.long, line...)
@@ -113,11 +96,12 @@ func (br *ByteRecordReader) readLine() ([]byte, error) {
 	if len(line) == 0 {
 		return nil, io.EOF
 	}
+	br.line++
 	if n := len(line); line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	if len(line) >= maxLineLen { // the scanner cap counts the line before CR-stripping
-		return nil, bufio.ErrTooLong
+	if len(line) > br.max {
+		return nil, br.tooLong(br.line)
 	}
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
@@ -125,83 +109,33 @@ func (br *ByteRecordReader) readLine() ([]byte, error) {
 	return line, nil
 }
 
+func (br *ByteRecordReader) tooLong(line int) error {
+	return fmt.Errorf("slurm: line %d: row exceeds %d bytes", line, br.max)
+}
+
 // Next decodes the next data row. Blank lines are skipped. It returns
 // io.EOF at the end of input, a *RowError for a malformed row (callers
-// may keep reading past it), and any other error terminally — the same
-// contract, accepted inputs, and error text as RecordReader.Next.
+// may keep reading past it), and any other error terminally.
 func (br *ByteRecordReader) Next() (*Record, error) {
 	for {
 		line, err := br.readLine()
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		if err != nil {
 			return nil, err
 		}
-		br.line++
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		br.cols = SplitFieldsBytes(br.cols[:0], line)
-		if len(br.cols) != len(br.fields) {
-			return nil, &RowError{Line: br.line,
-				Err: fmt.Errorf("slurm: %d columns, want %d", len(br.cols), len(br.fields))}
+		rec, err := br.dec.Decode(line)
+		if err != nil {
+			return nil, &RowError{Line: br.line, Err: err}
 		}
-		br.rec = Record{}
-		for i, f := range br.fields {
-			if err := br.setField(f, br.cols[i]); err != nil {
-				return nil, &RowError{Line: br.line,
-					Err: fmt.Errorf("slurm: field %s: %w", br.names[i], err)}
-			}
-		}
-		return &br.rec, nil
+		return rec, nil
 	}
 }
 
-// setField routes one cell to its decoder: the byte fast path when the
-// field has one, the cached-split path for Flags, and Set over an
-// interned copy for the free-form string columns.
-func (br *ByteRecordReader) setField(f *Field, col []byte) error {
-	switch {
-	case f.SetBytes != nil:
-		return f.SetBytes(&br.rec, col)
-	case f == flagsField:
-		br.rec.Flags = br.flagsFor(col)
-		return nil
-	default:
-		return f.Set(&br.rec, br.intern(col))
-	}
-}
-
-// intern returns a string with b's bytes, allocating only on the first
-// sighting of a value (while the cache has room).
-func (br *ByteRecordReader) intern(b []byte) string { return br.interned.Intern(b) }
-
-// flagsFor returns the parsed flag list for a raw Flags cell, splitting
-// each distinct cell value once per reader. Cached slices are clipped to
-// their length so a consumer append (the Backfill column merging
-// FlagBackfill in) reallocates instead of scribbling on the shared
-// backing array.
-func (br *ByteRecordReader) flagsFor(b []byte) []string {
-	if fl, ok := br.flagsCache[string(b)]; ok { // no alloc: map lookup on []byte key
-		return fl
-	}
-	var tmp Record
-	tmp.setFlags(string(b))
-	fl := tmp.Flags
-	if fl != nil {
-		fl = fl[:len(fl):len(fl)]
-	}
-	if len(br.flagsCache) < internCap {
-		br.flagsCache[string(b)] = fl
-	}
-	return fl
-}
-
-// All returns the reader's remaining rows as a RecordSeq with the same
-// semantics as RecordReader.All: malformed rows yield (nil, *RowError)
-// and iteration continues; a terminal error is yielded last. Records
-// alias the reader's scratch storage.
+// All returns the reader's remaining rows as a RecordSeq: malformed
+// rows yield (nil, *RowError) and iteration continues; a terminal error
+// is yielded last. Records alias the reader's scratch storage.
 func (br *ByteRecordReader) All() RecordSeq {
 	return func(yield func(*Record, error) bool) {
 		for {

@@ -3,7 +3,6 @@ package slurm
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -37,7 +36,7 @@ const chunkAlignBuf = 64 << 10
 
 // NewChunkScanner resolves path's header and plans up to n newline-
 // aligned chunks over its data region. An empty input or a header
-// naming an unknown field is an error, exactly as in NewRecordReader.
+// naming an unknown field is an error, exactly as in NewByteRecordReader.
 func NewChunkScanner(path string, n int) (*ChunkScanner, error) {
 	if n < 1 {
 		n = 1
@@ -96,7 +95,7 @@ func readHeaderLine(f *os.File) (string, int64, error) {
 		return "", 0, err
 	}
 	if line == "" {
-		return "", 0, fmt.Errorf("slurm: input has no header")
+		return "", 0, ErrNoHeader
 	}
 	off := int64(len(line))
 	line = trimLineEnd(line)
@@ -150,10 +149,10 @@ func (cs *ChunkScanner) Chunks() []Chunk {
 	return out
 }
 
-// Open returns a decoder over chunk i, plus the file handle to close
-// when done. Chunk 0 starts right after the header, so its RowError
-// line numbers match the sequential reader's; interior chunks report
-// chunk-relative line numbers.
+// Open returns a reader over chunk i, with its own Decoder, plus the
+// file handle to close when done. Chunk 0 starts right after the
+// header, so its RowError line numbers match a whole-file reader's;
+// interior chunks report chunk-relative line numbers.
 func (cs *ChunkScanner) Open(i int) (*ByteRecordReader, io.Closer, error) {
 	f, err := os.Open(cs.path)
 	if err != nil {
@@ -165,7 +164,7 @@ func (cs *ChunkScanner) Open(i int) (*ByteRecordReader, io.Closer, error) {
 		base = 1 // the header line precedes chunk 0
 	}
 	sec := io.NewSectionReader(f, c.Off, c.Len)
-	return newByteRecordReader(bufio.NewReaderSize(sec, 1<<16), cs.fields, cs.names, base), f, nil
+	return newByteRecordReader(bufio.NewReaderSize(sec, 1<<16), newDecoder(cs.fields, cs.names), base), f, nil
 }
 
 // batchRows sizes the record batches the parallel merge hands between
@@ -184,7 +183,7 @@ type chunkItem struct {
 // the results into one RecordSeq in file order: chunk i's rows are
 // yielded, in order, before chunk i+1's. Records are copied out of the
 // per-chunk decoder scratch into batches, so each yielded record is
-// valid until the following iteration, same as the sequential contract.
+// valid until the following iteration, same as ByteRecordReader.All.
 // Stopping the iteration early cancels the outstanding decoders.
 func (cs *ChunkScanner) All(workers int) RecordSeq {
 	return func(yield func(*Record, error) bool) {

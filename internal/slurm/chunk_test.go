@@ -99,7 +99,8 @@ func TestChunkScannerHeaderOnly(t *testing.T) {
 // TestChunkScannerAllMatchesSequential is the ordering property test:
 // for randomized row counts, malformed-row placements, chunk counts,
 // and worker counts, the parallel merged stream must yield the same
-// events in the same order as the sequential string reader.
+// events in the same order as the string reference decoder applied
+// line by line.
 func TestChunkScannerAllMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
@@ -113,11 +114,10 @@ func TestChunkScannerAllMatchesSequential(t *testing.T) {
 		nchunks := 1 + rng.Intn(7)
 		workers := 1 + rng.Intn(4)
 
-		sr, err := NewRecordReader(strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		_, want, ok := decodeLines(t, body)
+		if !ok {
+			t.Fatal("reference rejected the header")
 		}
-		want := renderSeq(t, sr.All(), sr.Fields())
 
 		cs, err := NewChunkScanner(path, nchunks)
 		if err != nil {
@@ -178,11 +178,11 @@ func TestChunkScannerAllEarlyStop(t *testing.T) {
 	}
 }
 
-// FuzzChunkBoundaries feeds arbitrary trace bodies through the
-// sequential reader and the chunked merge at several chunk counts: the
-// surviving records must match byte for byte no matter where the chunk
-// boundaries land (including mid-row candidates that the planner must
-// push to the next newline).
+// FuzzChunkBoundaries feeds arbitrary trace bodies through the string
+// reference decoder line by line and through the chunked merge at
+// several chunk counts: the surviving records must match byte for byte
+// no matter where the chunk boundaries land (including mid-row
+// candidates that the planner must push to the next newline).
 func FuzzChunkBoundaries(f *testing.F) {
 	f.Add("JobID|User|State|Elapsed|NNodes\n100001|alice|COMPLETED|01:30:00|128\n100002|bob|FAILED|00:10:00|9.4K\n", 2)
 	// Candidate boundaries landing mid-row: long rows, tiny chunks.
@@ -194,24 +194,14 @@ func FuzzChunkBoundaries(f *testing.F) {
 		if len(body) > 1<<16 || nchunks < 1 || nchunks > 32 {
 			return
 		}
-		sr, err := NewRecordReader(strings.NewReader(body))
-		if err != nil {
-			return // both paths reject the header identically (mirror tests pin it)
+		_, want, ok := decodeLines(t, body)
+		if !ok {
+			return // both paths reject the header identically (TestChunkScannerHeaderOnly pins it)
 		}
-		var want []string
-		for rec, e := range sr.All() {
-			if e != nil {
-				if _, ok := e.(*RowError); !ok {
-					return // terminal decode error: ordering comparison n/a
-				}
-				want = append(want, "err")
-				continue
+		for i, w := range want {
+			if strings.HasPrefix(w, "err: ") {
+				want[i] = "err" // interior chunks number lines chunk-relative
 			}
-			enc, eerr := EncodeRecord(rec, sr.Fields())
-			if eerr != nil {
-				t.Fatal(eerr)
-			}
-			want = append(want, enc)
 		}
 
 		path := filepath.Join(t.TempDir(), "fuzz.txt")
@@ -220,13 +210,13 @@ func FuzzChunkBoundaries(f *testing.F) {
 		}
 		cs, err := NewChunkScanner(path, nchunks)
 		if err != nil {
-			t.Fatalf("sequential accepted header but chunk scanner failed: %v", err)
+			t.Fatalf("reference accepted header but chunk scanner failed: %v", err)
 		}
 		var got []string
 		for rec, e := range cs.All(3) {
 			if e != nil {
 				if _, ok := e.(*RowError); !ok {
-					t.Fatalf("chunked path hit terminal error the sequential path did not: %v", e)
+					t.Fatalf("chunked path hit a terminal error: %v", e)
 				}
 				got = append(got, "err")
 				continue
@@ -242,7 +232,7 @@ func FuzzChunkBoundaries(f *testing.F) {
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("chunks=%d event %d:\nseq:      %s\nparallel: %s\nbody=%q",
+				t.Fatalf("chunks=%d event %d:\nreference: %s\nparallel:  %s\nbody=%q",
 					nchunks, i, want[i], got[i], body)
 			}
 		}

@@ -27,10 +27,13 @@ func EncodeRecord(r *Record, fields []string) (string, error) {
 	return strings.Join(parts, Separator), nil
 }
 
-// DecodeRecord parses one pipe-separated line into a Record, using the
-// field selection that produced it. A column-count mismatch or any
-// per-field parse failure is an error; callers treat such rows as the
-// malformed records the curation stage discards.
+// DecodeRecord is the string reference decoder: it parses one
+// pipe-separated line into a fresh Record through the string Field.Set
+// parsers, resolving every field name again on each call. A
+// column-count mismatch or any per-field parse failure is an error.
+// Ingest paths decode through Decoder instead; DecodeRecord is the
+// independent reference the byte decoder and its fuzz targets are
+// checked against.
 func DecodeRecord(line string, fields []string) (*Record, error) {
 	parts := strings.Split(line, Separator)
 	if len(parts) != len(fields) {

@@ -37,7 +37,7 @@ func Categories() []Category {
 // Field describes one accounting column: its Table 1 category and the
 // accessors that render and parse its text form in sacct output.
 // SetBytes, when non-nil, is the zero-alloc decode fast path used by
-// ByteRecordReader; it must accept exactly the inputs Set accepts and
+// Decoder; it must accept exactly the inputs Set accepts and
 // must not retain the byte slice. Fields without one (free-form string
 // columns) are decoded through Set on an interned copy of the cell.
 type Field struct {
@@ -83,7 +83,7 @@ func addField(f Field) {
 	catalogue = append(catalogue, f)
 }
 
-// flagsField is the one catalogue entry ByteRecordReader special-cases:
+// flagsField is the one catalogue entry Decoder special-cases:
 // its Set splits a flag list per call, so the byte decoder swaps in a
 // cached pre-split slice instead.
 var flagsField *Field

@@ -1,6 +1,7 @@
 package slurm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,9 +74,11 @@ func FuzzParseMemory(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecord feeds arbitrary pipe rows through the full decoder: it
-// must reject or accept without panicking, and whatever it accepts must
-// re-encode to the identical row.
+// FuzzDecodeRecord feeds arbitrary pipe rows through the string
+// reference decoder: it must reject or accept without panicking, and
+// whatever it accepts must re-encode to the identical row. The shared
+// byte Decoder must accept or reject each row exactly as DecodeRecord
+// does and decode the same field values.
 func FuzzDecodeRecord(f *testing.F) {
 	fields := []string{"JobID", "User", "State", "Elapsed", "NNodes", "Submit", "Flags"}
 	f.Add("100001|alice|COMPLETED|01:30:00|128|2024-03-01T08:00:00|SchedBackfill")
@@ -84,8 +87,19 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add("100003|x|NOT_A_STATE|x|x|x|x")
 	f.Fuzz(func(t *testing.T, line string) {
 		rec, err := DecodeRecord(line, fields)
+		dec, derr := NewDecoder(Header(fields))
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		got, berr := dec.Decode([]byte(line))
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("decoders disagree on %q: string %v, byte %v", line, err, berr)
+		}
 		if err != nil {
 			return
+		}
+		if kept := Retain(got); !reflect.DeepEqual(kept, *rec) {
+			t.Fatalf("decoded values differ on %q:\nstring: %+v\nbyte:   %+v", line, *rec, kept)
 		}
 		out, err := EncodeRecord(rec, fields)
 		if err != nil {

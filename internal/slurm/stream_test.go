@@ -20,8 +20,44 @@ const streamSampleJunk = streamSample +
 	"100005|eve|COMPLETED|xx:yy:zz|4\n" + // bad duration
 	"100006|frank|COMPLETED|00:05:00|2\n"
 
+// decodeLines is the reference decode of a pipe-text body: the first
+// line is the header, every later non-blank line goes through the
+// string DecodeRecord, and each row renders as its re-encoding or, when
+// rejected, as the RowError a whole-file reader reports for it. ok is
+// false when the header is missing or names an unknown field.
+func decodeLines(t *testing.T, body string) (fields, events []string, ok bool) {
+	t.Helper()
+	if body == "" {
+		return nil, nil, false
+	}
+	lines := strings.Split(body, "\n")
+	fields = strings.Split(strings.TrimSpace(strings.TrimSuffix(lines[0], "\r")), Separator)
+	for _, f := range fields {
+		if _, known := FieldByName(f); !known {
+			return nil, nil, false
+		}
+	}
+	for i, line := range lines[1:] {
+		line = strings.TrimSuffix(line, "\r")
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		rec, err := DecodeRecord(line, fields)
+		if err != nil {
+			events = append(events, "err: "+(&RowError{Line: i + 2, Err: err}).Error())
+			continue
+		}
+		enc, err := EncodeRecord(rec, fields)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		events = append(events, enc)
+	}
+	return fields, events, true
+}
+
 func TestRecordReaderClean(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +86,7 @@ func TestRecordReaderClean(t *testing.T) {
 }
 
 func TestRecordReaderScratchReuse(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +98,8 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 		t.Fatalf("first = %+v", first)
 	}
 	row := rr.Row()
-	if len(row) != 5 || row[1] != "alice" {
-		t.Fatalf("Row = %v", row)
+	if len(row) != 5 || string(row[1]) != "alice" {
+		t.Fatalf("Row = %q", row)
 	}
 	second, err := rr.Next()
 	if err != nil {
@@ -75,13 +111,13 @@ func TestRecordReaderScratchReuse(t *testing.T) {
 	if first.User != "bob" {
 		t.Errorf("scratch not overwritten: %q", first.User)
 	}
-	if rr.Row()[1] != "bob" {
-		t.Errorf("Row scratch not overwritten: %v", rr.Row())
+	if string(rr.Row()[1]) != "bob" {
+		t.Errorf("Row scratch not overwritten: %q", rr.Row())
 	}
 }
 
 func TestRecordReaderRowErrors(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSampleJunk))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSampleJunk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,37 +154,80 @@ func TestRecordReaderRowErrors(t *testing.T) {
 }
 
 func TestRecordReaderHeaderErrors(t *testing.T) {
-	if _, err := NewRecordReader(strings.NewReader("")); err == nil {
-		t.Error("empty input: want error")
+	if _, err := NewByteRecordReader(strings.NewReader("")); !errors.Is(err, ErrNoHeader) {
+		t.Errorf("empty input: %v, want ErrNoHeader", err)
 	}
-	if _, err := NewRecordReader(strings.NewReader("JobID|Mystery\n")); err == nil {
-		t.Error("unknown header field: want error")
+	_, err := NewByteRecordReader(strings.NewReader("JobID|Mystery\n"))
+	var uf *UnknownFieldError
+	if !errors.As(err, &uf) || uf.Name != "Mystery" {
+		t.Errorf("unknown header field: %v, want UnknownFieldError naming Mystery", err)
+	}
+}
+
+// TestByteRecordReaderLineCap pins the constructor-chosen line cap: a
+// line of exactly the cap decodes, one byte more is a terminal error
+// naming that line, whether the line fits the read buffer or spills.
+func TestByteRecordReaderLineCap(t *testing.T) {
+	for _, max := range []int{64, 100 << 10} {
+		head := "JobID|Comment\n1|ok\n2|"
+		fits := strings.Repeat("c", max-len("2|"))
+		rr, err := NewByteRecordReaderLimit(strings.NewReader(head+fits+"\n"), max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := rr.Next(); err != nil {
+				t.Fatalf("max=%d row %d: %v", max, i, err)
+			}
+		}
+		rr, err = NewByteRecordReaderLimit(strings.NewReader(head+fits+"c\n3|x\n"), max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = rr.Next()
+		if _, ok := err.(*RowError); err == nil || ok || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("max=%d: oversize row error = %v, want terminal error naming line 3", max, err)
+		}
 	}
 }
 
 func TestRecordSeqAllAndCollect(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSampleJunk))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSampleJunk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, malformed, err := CollectRecords(rr.All())
-	if err != nil {
-		t.Fatal(err)
+	var recs []Record
+	malformed := 0
+	for rec, err := range rr.All() {
+		if err != nil {
+			if _, ok := err.(*RowError); !ok {
+				t.Fatal(err)
+			}
+			malformed++
+			continue
+		}
+		recs = append(recs, Retain(rec))
 	}
 	if len(recs) != 4 || malformed != 2 {
 		t.Fatalf("collect: %d records, %d malformed", len(recs), malformed)
 	}
-	// Collected records must be copies, not aliases of the scratch.
+	// Retained records must be copies, not aliases of the scratch.
 	if recs[0].User == recs[1].User {
 		t.Errorf("records alias each other: %+v", recs[:2])
 	}
 	if recs[3].User != "frank" {
 		t.Errorf("last record = %+v", recs[3])
 	}
+	if recs[0].TRESReq == nil || recs[0].TRESUsageInAve == nil {
+		t.Error("Retain left a nil TRES map where DecodeRecord gives an empty one")
+	}
 }
 
 func TestRecordSeqEarlyBreak(t *testing.T) {
-	rr, err := NewRecordReader(strings.NewReader(streamSample))
+	rr, err := NewByteRecordReader(strings.NewReader(streamSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,67 +244,4 @@ func TestRecordSeqEarlyBreak(t *testing.T) {
 	if n != 2 {
 		t.Errorf("broke after %d records", n)
 	}
-}
-
-func TestSplitInto(t *testing.T) {
-	buf := make([]string, 0, 4)
-	got := splitInto(buf, "a|b||c")
-	if len(got) != 4 || got[0] != "a" || got[2] != "" || got[3] != "c" {
-		t.Errorf("splitInto = %v", got)
-	}
-	if got = splitInto(got[:0], "solo"); len(got) != 1 || got[0] != "solo" {
-		t.Errorf("splitInto single = %v", got)
-	}
-}
-
-func BenchmarkRecordReaderDecode(b *testing.B) {
-	// One synthetic row over the full curated selection, decoded with the
-	// streaming reader versus the allocating DecodeRecord.
-	fields := SelectedNames()
-	rec := Record{
-		ID: NewJobID(123456), JobName: "bench", User: "alice", Account: "csc000",
-		Cluster: "frontier", Partition: "batch",
-		Submit:  time.Date(2024, 3, 1, 10, 0, 0, 0, time.UTC),
-		Start:   time.Date(2024, 3, 1, 11, 0, 0, 0, time.UTC),
-		End:     time.Date(2024, 3, 1, 13, 0, 0, 0, time.UTC),
-		Elapsed: 2 * time.Hour, Timelimit: 4 * time.Hour,
-		NNodes: 128, NCPUs: 8192, State: StateCompleted,
-		Flags: []string{FlagBackfill}, QOS: "normal",
-		TRESReq: TRES{}, TRESUsageInAve: TRES{},
-	}
-	line, err := EncodeRecord(&rec, fields)
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := Header(fields) + "\n"
-	const rows = 64
-	for i := 0; i < rows; i++ {
-		input += line + "\n"
-	}
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rr, err := NewRecordReader(strings.NewReader(input))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for {
-				if _, err := rr.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("decode-record", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < rows; j++ {
-				if _, err := DecodeRecord(line, fields); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }

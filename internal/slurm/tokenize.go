@@ -15,8 +15,8 @@ import (
 // Each ParseXxxBytes mirrors its string counterpart exactly — same
 // accepted inputs, same values, same rejections — which the tokenizer
 // property tests pin by cross-checking against the string parsers on
-// both valid and adversarial inputs. ByteRecordReader composes them
-// into a 0-alloc-per-row decode hot path.
+// both valid and adversarial inputs. Decoder composes them into a
+// 0-alloc-per-row decode hot path.
 
 // SplitFieldsBytes splits line on the sacct column separator into buf,
 // growing the backing array only when a row has more columns than any

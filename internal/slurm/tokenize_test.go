@@ -120,9 +120,9 @@ func TestSplitFieldsBytes(t *testing.T) {
 	}
 }
 
-// collectBoth drains a string reader and a byte reader over the same
-// input and renders each yielded event to a comparable line: the
-// re-encoded record for clean rows, the error text for row errors.
+// renderSeq drains a record stream and renders each yielded event to a
+// comparable line: the re-encoded record for clean rows, the error text
+// for row errors.
 func renderSeq(t *testing.T, seq RecordSeq, fields []string) []string {
 	t.Helper()
 	var out []string
@@ -143,24 +143,26 @@ func renderSeq(t *testing.T, seq RecordSeq, fields []string) []string {
 	return out
 }
 
-func TestByteRecordReaderMatchesRecordReader(t *testing.T) {
+// TestByteRecordReaderMatchesDecodeRecord checks the byte reader
+// against the string reference decoder applied line by line: the same
+// records, the same malformed rows, the same RowError text and lines.
+func TestByteRecordReaderMatchesDecodeRecord(t *testing.T) {
 	input := streamSampleJunk +
 		"100007_3.2|gina|CANCELLED by 99|1-00:30:00|3\n" +
 		"100008.batch|hank|OUT_OF_MEMORY|00:00:09|1\r\n" +
 		"   \n" +
 		"100009|alice|COMPLETED|05:30|9.4K" // no trailing newline
-	sr, err := NewRecordReader(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
+	fields, want, ok := decodeLines(t, input)
+	if !ok {
+		t.Fatal("reference rejected the header")
 	}
 	br, err := NewByteRecordReader(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(sr.Fields(), "|") != strings.Join(br.Fields(), "|") {
-		t.Fatalf("headers differ: %v vs %v", sr.Fields(), br.Fields())
+	if strings.Join(fields, "|") != strings.Join(br.Fields(), "|") {
+		t.Fatalf("headers differ: %v vs %v", fields, br.Fields())
 	}
-	want := renderSeq(t, sr.All(), sr.Fields())
 	got := renderSeq(t, br.All(), br.Fields())
 	if len(want) != len(got) {
 		t.Fatalf("event counts differ: %d vs %d\nstring: %q\nbytes: %q", len(want), len(got), want, got)
@@ -191,15 +193,14 @@ func TestByteRecordReaderFullCatalogue(t *testing.T) {
 		sb.WriteByte('\n')
 	}
 	input := sb.String()
-	sr, err := NewRecordReader(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
+	_, want, ok := decodeLines(t, input)
+	if !ok {
+		t.Fatal("reference rejected the header")
 	}
 	br, err := NewByteRecordReader(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderSeq(t, sr.All(), fields)
 	got := renderSeq(t, br.All(), fields)
 	if len(want) != len(got) {
 		t.Fatalf("event counts differ: %d vs %d", len(want), len(got))
